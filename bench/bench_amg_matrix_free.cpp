@@ -152,6 +152,7 @@ int main(int argc, char** argv) {
   am.fine_apply_bytes = jm.matrix_free_stream_bytes();
   am.probe_applies = amg.probe_applies();
   am.fine_matrix_free = amg.fine_matrix_free();
+  am.coarse_factor_entries = amg.coarse_factor_entries();
   for (std::size_t l = 0; l < amg.n_levels(); ++l) {
     am.level_rows.push_back(amg.level_dofs(l));
     am.level_nnz.push_back(amg.level_nnz(l));

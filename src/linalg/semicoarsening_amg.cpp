@@ -11,45 +11,81 @@
 
 namespace mali::linalg {
 
-namespace {
-
-/// Galerkin triple product A_c = P^T A P for piecewise-constant P given by
-/// the aggregate map (fine dof -> coarse dof).
-CrsMatrix galerkin_coarse(const CrsMatrix& A,
-                          const std::vector<std::size_t>& agg,
-                          std::size_t n_coarse) {
+SemicoarseningAmg::GalerkinPlan SemicoarseningAmg::GalerkinPlan::build(
+    const CrsMatrix& A, const std::vector<std::size_t>& agg,
+    std::size_t n_coarse) {
   const auto& rp = A.row_ptr();
   const auto& cs = A.cols();
-  const auto& vs = A.values();
   const std::size_t n = A.n_rows();
 
-  // Accumulate coarse rows via a per-row hash map (rows are short).
-  std::vector<std::unordered_map<std::size_t, double>> rows(n_coarse);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t I = agg[i];
-    auto& row = rows[I];
-    for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-      row[agg[cs[k]]] += vs[k];
-    }
+  // Fine rows grouped by aggregate, in row order within each aggregate.
+  std::vector<std::size_t> member_ptr(n_coarse + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++member_ptr[agg[i] + 1];
+  for (std::size_t I = 0; I < n_coarse; ++I) {
+    member_ptr[I + 1] += member_ptr[I];
+  }
+  std::vector<std::size_t> members(n);
+  {
+    std::vector<std::size_t> next(member_ptr.begin(), member_ptr.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) members[next[agg[i]]++] = i;
   }
 
-  std::vector<std::size_t> crp(n_coarse + 1, 0);
-  for (std::size_t I = 0; I < n_coarse; ++I) crp[I + 1] = crp[I] + rows[I].size();
-  std::vector<std::size_t> ccols(crp.back());
+  GalerkinPlan plan;
+  plan.coarse_row_ptr.assign(n_coarse + 1, 0);
+  plan.slot.resize(A.nnz());
+  // slot_of[J]: position of coarse column J in the row being built (npos
+  // when J is not in it yet).
+  std::vector<std::size_t> slot_of(n_coarse, CrsMatrix::npos);
   for (std::size_t I = 0; I < n_coarse; ++I) {
-    std::size_t p = crp[I];
-    for (const auto& [J, v] : rows[I]) ccols[p++] = J;
-    std::sort(ccols.begin() + static_cast<std::ptrdiff_t>(crp[I]),
-              ccols.begin() + static_cast<std::ptrdiff_t>(crp[I + 1]));
+    const std::size_t row_begin = plan.coarse_cols.size();
+    for (std::size_t m = member_ptr[I]; m < member_ptr[I + 1]; ++m) {
+      const std::size_t i = members[m];
+      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
+        const std::size_t J = agg[cs[k]];
+        if (slot_of[J] == CrsMatrix::npos) {
+          slot_of[J] = 0;
+          plan.coarse_cols.push_back(J);
+        }
+      }
+    }
+    const auto first =
+        plan.coarse_cols.begin() + static_cast<std::ptrdiff_t>(row_begin);
+    std::sort(first, plan.coarse_cols.end());
+    for (std::size_t q = row_begin; q < plan.coarse_cols.size(); ++q) {
+      slot_of[plan.coarse_cols[q]] = q;
+    }
+    for (std::size_t m = member_ptr[I]; m < member_ptr[I + 1]; ++m) {
+      const std::size_t i = members[m];
+      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
+        plan.slot[k] = slot_of[agg[cs[k]]];
+      }
+    }
+    for (std::size_t q = row_begin; q < plan.coarse_cols.size(); ++q) {
+      slot_of[plan.coarse_cols[q]] = CrsMatrix::npos;
+    }
+    plan.coarse_row_ptr[I + 1] = plan.coarse_cols.size();
   }
-  CrsMatrix Ac(std::move(crp), std::move(ccols));
-  for (std::size_t I = 0; I < n_coarse; ++I) {
-    for (const auto& [J, v] : rows[I]) Ac.add(I, J, v);
-  }
-  return Ac;
+  return plan;
 }
 
-}  // namespace
+CrsMatrix SemicoarseningAmg::galerkin_coarse(std::size_t l) {
+  const Level& fine = levels_[l];
+  if (l == plans_.size()) {
+    plans_.push_back(GalerkinPlan::build(fine.A, fine.agg, fine.n_coarse));
+    ++galerkin_plan_builds_;
+  }
+  const GalerkinPlan& plan = plans_[l];
+  MALI_ASSERT(plan.slot.size() == fine.A.nnz());
+  MALI_ASSERT(plan.coarse_row_ptr.size() == fine.n_coarse + 1);
+
+  // Numeric half: one pass over the fine nonzeros in storage order, so each
+  // coarse entry sums its contributions in (fine row, column) order.
+  CrsMatrix Ac(plan.coarse_row_ptr, plan.coarse_cols);
+  double* const cv = Ac.values().data();
+  const auto& vs = fine.A.values();
+  for (std::size_t k = 0; k < vs.size(); ++k) cv[plan.slot[k]] += vs[k];
+  return Ac;
+}
 
 SemicoarseningAmg::SemicoarseningAmg(ExtrusionInfo info, AmgConfig cfg)
     : info_(std::move(info)), cfg_(cfg) {
@@ -86,6 +122,13 @@ void SemicoarseningAmg::compute(const LinearOperator& A) {
 }
 
 void SemicoarseningAmg::build_hierarchy(CrsMatrix A_fine) {
+  // The Galerkin plans hold while the fine graph does: the aggregation is a
+  // pure function of the ExtrusionInfo and the fine size, and every coarser
+  // graph is the previous plan's output.
+  if (levels_.empty() || levels_.front().A.row_ptr() != A_fine.row_ptr() ||
+      levels_.front().A.cols() != A_fine.cols()) {
+    plans_.clear();
+  }
   levels_.clear();
   use_direct_coarse_ = false;
 
@@ -105,7 +148,7 @@ void SemicoarseningAmg::build_hierarchy(CrsMatrix A_fine) {
       fine.agg = cached_agg_[l];
       fine.n_coarse = cached_n_coarse_[l];
       Level coarse;
-      coarse.A = galerkin_coarse(fine.A, fine.agg, fine.n_coarse);
+      coarse.A = galerkin_coarse(l);
       levels_.push_back(std::move(coarse));
     }
     factor_coarse();
@@ -188,16 +231,16 @@ void SemicoarseningAmg::build_hierarchy(CrsMatrix A_fine) {
       }
     }
     fine.n_coarse = n_coarse_nodes * static_cast<std::size_t>(dpn);
+    const std::size_t n_coarse = fine.n_coarse;  // `fine` dangles below
 
     Level coarse;
-    coarse.A = galerkin_coarse(fine.A, fine.agg, fine.n_coarse);
+    coarse.A = galerkin_coarse(levels_.size() - 1);
     levels_.push_back(std::move(coarse));
 
     cur_levels = next_levels;
     col_x = std::move(next_x);
     col_y = std::move(next_y);
-    if (levels_.back().A.n_rows() == fine.n_coarse &&
-        fine.n_coarse == n_dofs) {
+    if (levels_.back().A.n_rows() == n_coarse && n_coarse == n_dofs) {
       break;  // no coarsening progress — stop
     }
   }
@@ -221,16 +264,7 @@ void SemicoarseningAmg::factor_coarse() {
   const std::size_t coarse_n = Ac.n_rows();
   if (coarse_n <= cfg_.coarse_max_dofs) {
     use_direct_coarse_ = true;
-    DenseMatrix dense(coarse_n, coarse_n);
-    const auto& rp = Ac.row_ptr();
-    const auto& cs = Ac.cols();
-    const auto& vs = Ac.values();
-    for (std::size_t i = 0; i < coarse_n; ++i) {
-      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
-        dense(i, cs[k]) = vs[k];
-      }
-    }
-    coarse_lu_.factor(std::move(dense));
+    coarse_lu_.factor(Ac);
   }
 }
 

@@ -11,7 +11,15 @@
 // aggregation of columns — exactly the structure-exploiting strategy of the
 // paper's preconditioner.  Galerkin coarse operators (A_c = P^T A P with
 // piecewise-constant P), symmetric Gauss–Seidel or Chebyshev smoothing, and
-// a dense LU coarse solve complete the V-cycle.
+// a band LU coarse solve complete the V-cycle.
+//
+// Setup cost: each Galerkin product is split into a symbolic plan (the
+// coarse pattern and the coarse slot of every fine nonzero), built once per
+// fine graph and cached, and a numeric pass over the fine nonzeros in
+// storage order — the summation order of a fresh product, so the cached
+// plan is bit-identical to rebuilding it.  The coarsest matrix is factored
+// straight from CRS by DenseLu within its own bandwidth (see dense.hpp for
+// why that matches a dense LU bit for bit).
 //
 // The preconditioner is consumable from either side of the Jacobian split:
 //  * compute(const CrsMatrix&) — the classic assembled path;
@@ -103,6 +111,9 @@ class SemicoarseningAmg final : public Preconditioner {
   [[nodiscard]] std::size_t level_nnz(std::size_t l) const {
     return levels_[l].A.nnz();
   }
+  [[nodiscard]] const CrsMatrix& level_matrix(std::size_t l) const {
+    return levels_.at(l).A;
+  }
 
   /// Operator applies the last compute() spent probing the fine matrix
   /// (0 on the assembled path).
@@ -130,6 +141,15 @@ class SemicoarseningAmg final : public Preconditioner {
   [[nodiscard]] std::size_t structure_reuses() const noexcept {
     return structure_reuses_;
   }
+  /// Symbolic Galerkin plans built so far (one per level per fine graph).
+  [[nodiscard]] std::size_t galerkin_plan_builds() const noexcept {
+    return galerkin_plan_builds_;
+  }
+  /// Doubles the coarse band LU stores — what each V-cycle's direct coarse
+  /// solve streams (0 when the coarsest level falls back to SGS).
+  [[nodiscard]] std::size_t coarse_factor_entries() const noexcept {
+    return use_direct_coarse_ ? coarse_lu_.stored_entries() : 0;
+  }
 
   /// Per-level raw Chebyshev lambda estimates from the last compute()
   /// (empty when the SGS smoother is configured) — feed these back via
@@ -153,8 +173,22 @@ class SemicoarseningAmg final : public Preconditioner {
     mutable std::vector<double> r, z, rc, zc, tmp;
   };
 
+  /// Symbolic half of one Galerkin product A_c = P^T A P: the coarse
+  /// pattern and, for every fine nonzero, the coarse slot it sums into.
+  struct GalerkinPlan {
+    std::vector<std::size_t> coarse_row_ptr, coarse_cols;
+    std::vector<std::size_t> slot;  ///< fine nonzero -> coarse nonzero
+
+    static GalerkinPlan build(const CrsMatrix& A,
+                              const std::vector<std::size_t>& agg,
+                              std::size_t n_coarse);
+  };
+
   void build_hierarchy(CrsMatrix A_fine);
-  /// Direct-LU factorization of the coarsest level (tail of the build).
+  /// A_{l+1} = P^T A_l P through plans_[l], building that plan first when
+  /// the cache does not reach level l.
+  CrsMatrix galerkin_coarse(std::size_t l);
+  /// Band-LU factorization of the coarsest level (tail of the build).
   void factor_coarse();
   void setup_smoothers();
   /// y = A_l x, through the live operator on a matrix-free fine level.
@@ -184,7 +218,12 @@ class SemicoarseningAmg final : public Preconditioner {
   std::size_t structure_reuses_ = 0;
   std::vector<double> cheb_hints_;
 
-  // Dense LU coarse solve.
+  /// Galerkin plans of the current fine graph, level by level (cleared
+  /// when compute() sees a different fine graph).
+  std::vector<GalerkinPlan> plans_;
+  std::size_t galerkin_plan_builds_ = 0;
+
+  // Band LU coarse solve.
   DenseLu coarse_lu_;
   bool use_direct_coarse_ = false;
 };

@@ -191,6 +191,10 @@ struct AmgCycleModel {
   /// True when level-0 smoothing/residuals run through the live operator
   /// (probed + Chebyshev mode) instead of streaming the probed matrix.
   bool fine_matrix_free = false;
+  /// Doubles of the coarsest level's stored LU factor
+  /// (SemicoarseningAmg::coarse_factor_entries()); 0 charges that level
+  /// one CRS stream instead.
+  std::size_t coarse_factor_entries = 0;
   static constexpr std::size_t kIdx = sizeof(std::size_t);
   static constexpr std::size_t kVal = sizeof(double);
 
@@ -231,10 +235,18 @@ struct AmgCycleModel {
     return b;
   }
 
+  /// Bytes of the coarsest level's solve: the direct solve streams its
+  /// stored factor once (forward + backward sweep) plus the in/out vectors;
+  /// without a factor count it is charged one CRS stream.
+  [[nodiscard]] std::size_t coarse_solve_bytes() const {
+    const std::size_t l = level_nnz.size() - 1;
+    if (coarse_factor_entries == 0) return level_stream_bytes(l);
+    return coarse_factor_entries * kVal + 2 * level_rows[l] * kVal;
+  }
+
   /// One V-cycle: per non-coarsest level, pre/post smoothing plus two
-  /// residual computations and the (vector-sized) transfer traffic; the
-  /// coarsest level is one matrix stream (dense solve or SGS fallback on a
-  /// level sized coarse_max_dofs, negligible either way).
+  /// residual computations and the (vector-sized) transfer traffic; then
+  /// the coarsest level's solve.
   [[nodiscard]] std::size_t vcycle_bytes() const {
     if (level_nnz.empty()) return 0;
     std::size_t b = 0;
@@ -243,7 +255,7 @@ struct AmgCycleModel {
                smoother_bytes(l) +
            2 * residual_bytes(l) + 4 * level_rows[l] * kVal;
     }
-    b += level_stream_bytes(level_nnz.size() - 1);
+    b += coarse_solve_bytes();
     return b;
   }
 };

@@ -253,6 +253,13 @@ class StokesFOProblem final : public nonlinear::NonlinearProblem {
     return qp_weights_;
   }
 
+  /// Element residuals (cell, node, component) of the last workset the
+  /// last residual() call scattered: every cell when workset_size = 0.
+  /// Rows past that workset's cell count are scratch.
+  [[nodiscard]] const pk::View<double, 3>& element_residuals() const noexcept {
+    return res_fields_.Residual;
+  }
+
   /// The SIMD batch width the double-valued fused kernels actually run at:
   /// cfg_.simd_width with 0 ("auto") resolved to pk::kSimdNativeWidth.
   [[nodiscard]] int resolved_simd_width() const noexcept;

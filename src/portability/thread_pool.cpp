@@ -90,6 +90,11 @@ void ThreadPool::parallel_range(
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::size_t n_chunks = std::min(n, std::max<std::size_t>(1, workers_.size()));
+  if (n_chunks == 1) {
+    // One chunk: run it here, with no queue, wake-up or wait.
+    fn(begin, end);
+    return;
+  }
   const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
 
   {

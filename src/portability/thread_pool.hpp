@@ -2,8 +2,8 @@
 // A small blocking thread pool used by the pk "Threads" backend.
 //
 // The pool is created once (lazily) and reused; parallel_for dispatches
-// contiguous index chunks to workers and waits for completion.  On a
-// single-core host this degrades gracefully to near-serial execution.
+// contiguous index chunks to workers and waits for completion.  A pool of
+// one worker runs every loop inline on the calling thread.
 
 #include <condition_variable>
 #include <cstddef>
@@ -29,6 +29,8 @@ class ThreadPool {
 
   /// Runs fn(chunk_begin, chunk_end) across workers covering [begin, end);
   /// blocks until all chunks complete.  Exceptions from workers are rethrown.
+  /// A range that makes a single chunk (one worker, or one index) runs on
+  /// the calling thread.
   void parallel_range(std::size_t begin, std::size_t end,
                       const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -1,11 +1,15 @@
 // Semicoarsening AMG tests: hierarchy structure on extruded graphs,
 // Galerkin coarse-operator properties, and V-cycle/GMRES convergence on an
-// anisotropic model problem (the regime MDSC-AMG targets).
+// anisotropic model problem (the regime MDSC-AMG targets), and the cached
+// Galerkin plan (bit-identical to a fresh product, rebuilt on a new graph).
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <unordered_map>
 
 #include "linalg/gmres.hpp"
 #include "linalg/semicoarsening_amg.hpp"
@@ -258,4 +262,159 @@ TEST(SemicoarseningAmg, ApplyBeforeComputeThrows) {
   SemicoarseningAmg amg(prob.info, AmgConfig{});
   std::vector<double> z;
   EXPECT_THROW(amg.apply(random_vec(prob.A.n_rows(), 1), z), mali::Error);
+}
+
+// ---- Galerkin plan: symbolic product cached per fine graph ----
+
+namespace {
+
+/// A's graph with new seeded values (diagonally dominant, nonsymmetric).
+CrsMatrix revalued(const CrsMatrix& A, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> off(-1.5, -0.5);
+  CrsMatrix B(A.row_ptr(), A.cols());
+  for (std::size_t r = 0; r < A.n_rows(); ++r) {
+    double sum = 0.0;
+    std::size_t diag = CrsMatrix::npos;
+    for (std::size_t k = A.row_ptr()[r]; k < A.row_ptr()[r + 1]; ++k) {
+      if (A.cols()[k] == r) {
+        diag = k;
+        continue;
+      }
+      B.values()[k] = A.values()[k] * -off(rng);
+      sum += std::abs(B.values()[k]);
+    }
+    B.values()[diag] = sum + 0.1;
+  }
+  return B;
+}
+
+/// A with every off-diagonal entry (r, c), (7 r + c) % 5 == 0, dropped
+/// from the graph (the diagonal stays dominant).
+CrsMatrix pruned(const CrsMatrix& A) {
+  std::vector<std::size_t> rp{0}, cols;
+  std::vector<double> vals;
+  for (std::size_t r = 0; r < A.n_rows(); ++r) {
+    for (std::size_t k = A.row_ptr()[r]; k < A.row_ptr()[r + 1]; ++k) {
+      const std::size_t c = A.cols()[k];
+      if (c != r && (7 * r + c) % 5 == 0) continue;
+      cols.push_back(c);
+      vals.push_back(A.values()[k]);
+    }
+    rp.push_back(cols.size());
+  }
+  CrsMatrix B(rp, cols);
+  B.values() = vals;
+  return B;
+}
+
+/// Reference P^T A P: a per-coarse-row hash map fed in fine storage order.
+CrsMatrix hashed_galerkin(const CrsMatrix& A,
+                          const std::vector<std::size_t>& agg,
+                          std::size_t n_coarse) {
+  std::vector<std::unordered_map<std::size_t, double>> rows(n_coarse);
+  for (std::size_t i = 0; i < A.n_rows(); ++i) {
+    for (std::size_t k = A.row_ptr()[i]; k < A.row_ptr()[i + 1]; ++k) {
+      rows[agg[i]][agg[A.cols()[k]]] += A.values()[k];
+    }
+  }
+  std::vector<std::size_t> rp{0}, cols;
+  for (auto& row : rows) {
+    std::vector<std::size_t> js;
+    for (const auto& [J, v] : row) js.push_back(J);
+    std::sort(js.begin(), js.end());
+    cols.insert(cols.end(), js.begin(), js.end());
+    rp.push_back(cols.size());
+  }
+  CrsMatrix Ac(rp, cols);
+  for (std::size_t I = 0; I < n_coarse; ++I) {
+    for (const auto& [J, v] : rows[I]) Ac.add(I, J, v);
+  }
+  return Ac;
+}
+
+void expect_same_matrix(const CrsMatrix& a, const CrsMatrix& b) {
+  ASSERT_EQ(a.row_ptr(), b.row_ptr());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t k = 0; k < a.nnz(); ++k) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.values()[k]),
+              std::bit_cast<std::uint64_t>(b.values()[k]))
+        << "nonzero " << k;
+  }
+}
+
+/// Same level matrices bit for bit, and the same V-cycle output.
+void expect_same_hierarchy(const SemicoarseningAmg& a,
+                           const SemicoarseningAmg& b) {
+  ASSERT_EQ(a.n_levels(), b.n_levels());
+  for (std::size_t l = 0; l < a.n_levels(); ++l) {
+    SCOPED_TRACE(l);
+    expect_same_matrix(a.level_matrix(l), b.level_matrix(l));
+  }
+  const auto r = random_vec(a.level_dofs(0), 5);
+  std::vector<double> za, zb;
+  a.apply(r, za);
+  b.apply(r, zb);
+  for (std::size_t i = 0; i < za.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(za[i]),
+              std::bit_cast<std::uint64_t>(zb[i]))
+        << "z entry " << i;
+  }
+}
+
+AmgConfig plan_config() {
+  AmgConfig cfg;
+  cfg.coarse_max_dofs = 60;  // 720 -> 360 -> 180 -> 90 -> 2x2 columns
+  return cfg;
+}
+
+}  // namespace
+
+TEST(GalerkinPlan, CachedProductMatchesFreshBitwise) {
+  const auto prob = make_extruded_laplacian(10, 9, 8, 100.0);
+  SemicoarseningAmg cached(prob.info, plan_config());
+  cached.compute(prob.A);
+  ASSERT_EQ(cached.n_levels(), 5u);
+  const std::size_t builds = cached.galerkin_plan_builds();
+  EXPECT_EQ(builds, cached.n_levels() - 1);
+
+  // Level 0 -> 1 pairs adjacent vertical levels of each column.
+  const std::size_t n = prob.A.n_rows();
+  std::vector<std::size_t> agg(n);
+  for (std::size_t i = 0; i < n; ++i) agg[i] = i / 8 * 4 + i % 8 / 2;
+
+  for (const unsigned seed : {11u, 12u}) {
+    SCOPED_TRACE(seed);
+    const CrsMatrix A = revalued(prob.A, seed);
+    cached.compute(A);
+    EXPECT_EQ(cached.galerkin_plan_builds(), builds) << "plan not reused";
+    SemicoarseningAmg fresh(prob.info, plan_config());
+    fresh.compute(A);
+    expect_same_hierarchy(cached, fresh);
+    expect_same_matrix(cached.level_matrix(1), hashed_galerkin(A, agg, n / 2));
+  }
+}
+
+TEST(GalerkinPlan, ChangedFineGraphRebuildsPlan) {
+  const auto prob = make_extruded_laplacian(10, 9, 8, 100.0);
+  const CrsMatrix B = pruned(prob.A);
+  ASSERT_EQ(B.n_rows(), prob.A.n_rows());
+  ASSERT_LT(B.nnz(), prob.A.nnz());
+
+  SemicoarseningAmg amg(prob.info, plan_config());
+  amg.compute(prob.A);
+  const std::size_t builds = amg.galerkin_plan_builds();
+
+  amg.compute(B);
+  EXPECT_EQ(amg.galerkin_plan_builds(), 2 * builds);
+  SemicoarseningAmg fresh_b(prob.info, plan_config());
+  fresh_b.compute(B);
+  expect_same_hierarchy(amg, fresh_b);
+
+  // Back to the first graph: rebuilt again, never served B's slots.
+  amg.compute(prob.A);
+  EXPECT_EQ(amg.galerkin_plan_builds(), 3 * builds);
+  SemicoarseningAmg fresh_a(prob.info, plan_config());
+  fresh_a.compute(prob.A);
+  expect_same_hierarchy(amg, fresh_a);
 }

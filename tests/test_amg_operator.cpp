@@ -321,6 +321,15 @@ TEST(AmgCycleModel, ProbeSetupAndVcycleBytesAreConsistent) {
                 assembled.level_stream_bytes(2));
   EXPECT_GT(assembled.vcycle_bytes(), 0u);
 
+  // A direct coarse solve is charged its stored factor (plus the in/out
+  // vectors) in place of the coarsest level's CRS stream.
+  perf::AmgCycleModel factored = assembled;
+  factored.coarse_factor_entries = 640 * 370;
+  EXPECT_EQ(factored.coarse_solve_bytes(),
+            (640 * 370 + 2 * 640) * sizeof(double));
+  EXPECT_EQ(factored.vcycle_bytes() - assembled.vcycle_bytes(),
+            factored.coarse_solve_bytes() - assembled.level_stream_bytes(2));
+
   // Probed/Chebyshev mode: setup pays the probe applies; the fine level's
   // smoother work goes through the operator apply.
   perf::AmgCycleModel probed = m;

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "portability/launch_bounds.hpp"
@@ -43,6 +45,36 @@ TEST(ThreadPool, PropagatesExceptions) {
     count += static_cast<int>(e - b);
   });
   EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ThreadPool, SingleChunkRunsInlineAndRethrows) {
+  // One worker makes one chunk: the body runs on the calling thread (no
+  // hand-off to the worker), covers the whole range, and its exception
+  // reaches the caller.
+  pk::ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  std::size_t b0 = 1, e0 = 0;
+  pool.parallel_range(3, 40, [&](std::size_t b, std::size_t e) {
+    ran_on = std::this_thread::get_id();
+    b0 = b;
+    e0 = e;
+  });
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_EQ(b0, 3u);
+  EXPECT_EQ(e0, 40u);
+  EXPECT_THROW(pool.parallel_range(0, 10,
+                                   [](std::size_t, std::size_t) {
+                                     throw std::runtime_error("boom");
+                                   }),
+               std::runtime_error);
+
+  // A one-index range on a wider pool is a single chunk too.
+  pk::ThreadPool wide(4);
+  wide.parallel_range(7, 8, [&](std::size_t, std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
 }
 
 TEST(ParallelFor, SerialBackend) {

@@ -182,6 +182,7 @@ void print_amg_cycle_model(physics::StokesFOProblem& problem,
                                    : j.assembled_stream_bytes();
   m.probe_applies = amg.probe_applies();
   m.fine_matrix_free = amg.fine_matrix_free();
+  m.coarse_factor_entries = amg.coarse_factor_entries();
   for (std::size_t l = 0; l < amg.n_levels(); ++l) {
     m.level_rows.push_back(amg.level_dofs(l));
     m.level_nnz.push_back(amg.level_nnz(l));
